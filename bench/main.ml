@@ -231,172 +231,17 @@ let run_benchmarks () =
         tests)
     groups
 
-(* ------------------------------------------------------------------ *)
-(* Part 3: machine-readable quick mode (main.exe --json PATH)         *)
-(* ------------------------------------------------------------------ *)
-
-(* Wall-clock alternative to the Bechamel run above: times a
-   representative subset with calibrated repetition and writes
-   {name, p50, p95, runs} records — the same schema `waveidx bench
-   --json` emits for the model-disk numbers — so CI can diff either
-   artifact without parsing Bechamel's OLS output.  Skips the (slow)
-   artifact regeneration. *)
-
-let json_benchmarks () =
-  let probe kind =
-    let s = ready_scheme kind Env.In_place in
-    let d = Scheme.current_day s in
-    ( Printf.sprintf "probe/%s" (Scheme.name kind),
-      fun () ->
-        ignore
-          (Frame.timed_index_probe (Scheme.frame s) ~t1:(d - 6) ~t2:d ~value:1)
-    )
-  in
-  let scan kind technique label =
-    let s = ready_scheme kind technique in
-    let d = Scheme.current_day s in
-    ( Printf.sprintf "scan/%s" label,
-      fun () -> ignore (Frame.timed_segment_scan (Scheme.frame s) ~t1:(d - 6) ~t2:d)
-    )
-  in
-  let transition kind technique =
-    let s = ready_scheme kind technique in
-    ( Printf.sprintf "transition/%s/%s" (Scheme.name kind)
-        (Env.technique_name technique),
-      fun () -> Scheme.transition s )
-  in
-  List.map probe Scheme.all
-  @ [
-      scan Scheme.Del Env.In_place "DEL/unpacked";
-      scan Scheme.Del Env.Packed_shadow "DEL/packed";
-    ]
-  @ List.concat_map
-      (fun kind -> [ transition kind Env.In_place; transition kind Env.Packed_shadow ])
-      Scheme.all
-  @ [
-      ( "index/build-1-day",
-        fun () ->
-          let cfg = Index.default_config in
-          let disk = Index.make_disk cfg in
-          let idx = Index.build disk cfg [ store 1 ] in
-          Index.drop idx );
-      ( "substrate/zipf-sample",
-        let z = Wave_util.Zipf.create ~n:50_000 ~s:1.0 in
-        let prng = Wave_util.Prng.create 5 in
-        fun () -> ignore (Wave_util.Zipf.sample z prng) );
-    ]
-
-let time_thunk f =
-  (* Calibrate the repetition count so each sample spans at least 100us
-     of wall clock — individual calls can be faster than the clock's
-     resolution. *)
-  let rec calibrate reps =
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to reps do
-      f ()
-    done;
-    let dt = Unix.gettimeofday () -. t0 in
-    if dt >= 1e-4 || reps >= 1 lsl 20 then (reps, dt) else calibrate (reps * 2)
-  in
-  let reps, _ = calibrate 1 in
-  fun () ->
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to reps do
-      f ()
-    done;
-    (Unix.gettimeofday () -. t0) /. float_of_int reps
-
-let measure_json () =
-  let runs = 25 in
-  List.map
-    (fun (name, f) ->
-      for _ = 1 to 3 do
-        f ()
-      done;
-      let sample = time_thunk f in
-      let xs = Array.init runs (fun _ -> sample ()) in
-      ( name,
-        Wave_util.Stats.percentile xs 50.0,
-        Wave_util.Stats.percentile xs 95.0,
-        runs ))
-    (json_benchmarks ())
-
-let run_json path =
-  let results = measure_json () in
-  let runs = 25 in
-  let open Wave_obs.Json in
-  let j =
-    Obj
-      [
-        ("schema", Str "waveidx-bench/1");
-        ("unit", Str "wall-seconds");
-        ("runs_per_benchmark", int runs);
-        ( "benchmarks",
-          Arr
-            (List.map
-               (fun (name, p50, p95, r) ->
-                 Obj
-                   [
-                     ("name", Str name);
-                     ("p50", Num p50);
-                     ("p95", Num p95);
-                     ("runs", int r);
-                   ])
-               results) );
-      ]
-  in
-  let oc = open_out path in
-  output_string oc (to_string ~pretty:true j);
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "wrote %s (%d benchmarks, wall-clock)\n" path (List.length results)
-
-(* Wall-clock regression gate: re-measure the quick subset and compare
-   against a committed baseline.  The default threshold is much looser
-   than `waveidx bench --compare`'s model-second gate because wall
-   clock is machine- and load-dependent. *)
-let run_compare ~baseline ~threshold =
-  match Wave_obs.Sink.bench_series_file baseline with
-  | Error e ->
-    Printf.eprintf "bench --compare: %s\n" e;
-    exit 1
-  | Ok base ->
-    let current =
-      List.map
-        (fun (name, p50, p95, _) ->
-          { Wave_obs.Sink.series_name = name; series_p50 = p50; series_p95 = p95 })
-        (measure_json ())
-    in
-    let cmp =
-      Wave_obs.Sink.compare_bench ~threshold_pct:threshold ~baseline:base
-        ~current
-    in
-    Printf.printf "regression gate vs %s (threshold %.1f%%, wall-clock):\n%s"
-      baseline threshold
-      (Wave_obs.Sink.comparison_report cmp);
-    if not (Wave_obs.Sink.bench_ok cmp) then exit 1
-
+(* Wall-clock numbers that can gate a change come from perfbench/, not
+   from here: Bechamel's per-call estimates are for reading, and this
+   executable takes no arguments. *)
 let () =
-  match Array.to_list Sys.argv with
-  | _ :: "--json" :: path :: "--compare" :: baseline :: rest ->
-    run_json path;
-    let threshold =
-      match rest with
-      | "--threshold" :: t :: _ -> float_of_string t
-      | _ -> 25.0
-    in
-    run_compare ~baseline ~threshold
-  | _ :: "--json" :: path :: _ -> run_json path
-  | _ :: "--compare" :: baseline :: rest ->
-    let threshold =
-      match rest with
-      | "--threshold" :: t :: _ -> float_of_string t
-      | _ -> 25.0
-    in
-    run_compare ~baseline ~threshold
-  | _ ->
-    regenerate ();
-    print_endline "============================================================";
-    print_endline "Implementation micro-benchmarks (Bechamel, wall-clock)";
-    print_endline "============================================================";
-    run_benchmarks ()
+  if Array.length Sys.argv > 1 then begin
+    prerr_endline
+      "usage: main.exe (no arguments; see perfbench/ for gated wall-clock runs)";
+    exit 2
+  end;
+  regenerate ();
+  print_endline "============================================================";
+  print_endline "Implementation micro-benchmarks (Bechamel, wall-clock)";
+  print_endline "============================================================";
+  run_benchmarks ()

@@ -1134,6 +1134,18 @@ let profile_cmd =
       Printf.eprintf "profile: --diff-json requires --diff\n";
       exit 2
     end;
+    (* Read the baseline before the run, so a bad one fails at once. *)
+    let baseline =
+      Option.map
+        (fun bpath ->
+          let read = Wave_obs.Json.Read.of_file bpath in
+          match Result.bind read Wave_obs.Profile.of_json with
+          | Ok p -> p
+          | Error e ->
+            Printf.eprintf "profile: --diff %s: %s\n" bpath e;
+            exit 2)
+        diff
+    in
     let prof, r =
       profiled_run ?stall_after ~stall_seconds ~scheme ~technique ~w ~n ~days
         ~postings ()
@@ -1159,26 +1171,9 @@ let profile_cmd =
     print_top_table ~under:[ "day"; "phase.maintenance" ] ~k:top
       "maintenance phase" prof;
     print_top_table ~under:[ "day"; "phase.query" ] ~k:top "query phase" prof;
-    match diff with
+    match baseline with
     | None -> ()
-    | Some bpath ->
-      let baseline =
-        match In_channel.with_open_bin bpath In_channel.input_all with
-        | exception Sys_error e ->
-          Printf.eprintf "profile: --diff: %s\n" e;
-          exit 2
-        | text -> (
-          match Wave_obs.Json.parse text with
-          | Error e ->
-            Printf.eprintf "profile: --diff %s: bad JSON: %s\n" bpath e;
-            exit 2
-          | Ok j -> (
-            match Wave_obs.Profile.of_json j with
-            | Error e ->
-              Printf.eprintf "profile: --diff %s: %s\n" bpath e;
-              exit 2
-            | Ok p -> p))
-      in
+    | Some baseline ->
       let d = Wave_obs.Profile.diff ~baseline ~current:prof in
       print_newline ();
       print_string (Wave_obs.Profile.diff_report ~k:top d);
@@ -1274,6 +1269,23 @@ let bench_cmd =
       Printf.eprintf "bench: need at least one cache frame\n";
       exit 2
     end;
+    (* Read the --compare baseline before the bench runs, so a missing
+       or malformed one fails at once. *)
+    let baseline =
+      Option.map
+        (fun path ->
+          let fail e =
+            Printf.eprintf "bench --compare: %s\n" e;
+            exit 1
+          in
+          match Wave_obs.Json.Read.of_file path with
+          | Error e -> fail e
+          | Ok j -> (
+            match Wave_obs.Sink.bench_series j with
+            | Error e -> fail (path ^ ": " ^ e)
+            | Ok series -> (path, series, Wave_obs.Sink.bench_profile_top j)))
+        compare_to
+    in
     let store = demo_store postings in
     let results = ref [] in
     let record ?cache ?wb name samples =
@@ -1700,60 +1712,54 @@ let bench_cmd =
         Printf.eprintf "bench: emitted snapshot failed validation: %s\n" e;
         exit 1);
       Printf.printf "\nwrote %s (%d benchmarks)\n" path (List.length results));
-    match compare_to with
+    match baseline with
     | None -> ()
-    | Some baseline_path -> (
-      let fail msg =
-        Printf.eprintf "bench --compare: %s\n" msg;
-        exit 1
+    | Some (baseline_path, baseline, profile_top) ->
+      let current =
+        List.map
+          (fun (name, p50, p95, _, _, _) ->
+            {
+              Wave_obs.Sink.series_name = name;
+              series_p50 = p50;
+              series_p95 = p95;
+            })
+          results
       in
-      match Wave_obs.Sink.bench_series_file baseline_path with
-      | Error e -> fail e
-      | Ok baseline ->
-          let current =
-            List.map
-              (fun (name, p50, p95, _, _, _) ->
-                {
-                  Wave_obs.Sink.series_name = name;
-                  series_p50 = p50;
-                  series_p95 = p95;
-                })
-              results
+      let cmp =
+        Wave_obs.Sink.compare_bench ~threshold_pct:threshold ~baseline
+          ~current
+      in
+      Printf.printf "\nregression gate vs %s (threshold %.1f%%):\n%s"
+        baseline_path threshold
+        (Wave_obs.Sink.comparison_report cmp);
+      (* Profile-node gate: re-profile the snapshot's canonical run
+         and hold each committed hot node's self/total model-seconds
+         to the same threshold — a cost migration between phases
+         fails here even when every series total is flat.  On
+         failure, a full tree diff against the committed nodes shows
+         where the time went. *)
+      let profile_ok =
+        match profile_top with
+        | Error e ->
+          (* pre-/4 baselines have no profile block; the series gate
+             above already covers them *)
+          Printf.printf "profile-node gate: skipped (%s: %s)\n"
+            baseline_path e;
+          true
+        | Ok top_nodes ->
+          let prof, pr =
+            profiled_run ~scheme:Scheme.Del ~technique:Env.In_place ~w ~n:2
+              ~days:6 ~postings ()
           in
-          let cmp =
-            Wave_obs.Sink.compare_bench ~threshold_pct:threshold ~baseline
-              ~current
+          ignore (check_conservation prof pr);
+          let gate =
+            Wave_obs.Sink.compare_profile_top ~threshold_pct:threshold
+              ~baseline:top_nodes ~current:prof
           in
-          Printf.printf "\nregression gate vs %s (threshold %.1f%%):\n%s"
-            baseline_path threshold
-            (Wave_obs.Sink.comparison_report cmp);
-          (* Profile-node gate: re-profile the snapshot's canonical run
-             and hold each committed hot node's self/total model-seconds
-             to the same threshold — a cost migration between phases
-             fails here even when every series total is flat.  On
-             failure, a full tree diff against the committed nodes shows
-             where the time went. *)
-          let profile_ok =
-            match Wave_obs.Sink.bench_profile_top_file baseline_path with
-            | Error e ->
-              (* pre-/4 baselines have no profile block; the series gate
-                 above already covers them *)
-              Printf.printf "profile-node gate: skipped (%s)\n" e;
-              true
-            | Ok top_nodes ->
-              let prof, pr =
-                profiled_run ~scheme:Scheme.Del ~technique:Env.In_place ~w ~n:2
-                  ~days:6 ~postings ()
-              in
-              ignore (check_conservation prof pr);
-              let gate =
-                Wave_obs.Sink.compare_profile_top ~threshold_pct:threshold
-                  ~baseline:top_nodes ~current:prof
-              in
-              print_string (Wave_obs.Sink.profile_gate_report gate);
-              Wave_obs.Sink.profile_gate_ok gate
-          in
-          if not (Wave_obs.Sink.bench_ok cmp && profile_ok) then exit 1)
+          print_string (Wave_obs.Sink.profile_gate_report gate);
+          Wave_obs.Sink.profile_gate_ok gate
+      in
+      if not (Wave_obs.Sink.bench_ok cmp && profile_ok) then exit 1
   in
   Cmd.v (Cmd.info "bench" ~doc)
     Term.(

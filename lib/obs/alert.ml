@@ -210,83 +210,44 @@ let scope_of_string = function
   | "transition" -> Ok Transition
   | s -> Error (Printf.sprintf "unknown scope %S (expected day | transition)" s)
 
-let rule_of_json i j =
-  let label fields =
-    match List.assoc_opt "name" fields with
-    | Some (Json.Str n) -> Printf.sprintf "rule %S" n
-    | _ -> Printf.sprintf "rule %d" i
-  in
-  match j with
-  | Json.Obj fields ->
-    let where = label fields in
-    let str field =
-      match List.assoc_opt field fields with
-      | Some (Json.Str s) when String.length s > 0 -> Ok s
-      | Some _ -> Error (Printf.sprintf "%s: %S must be a non-empty string" where field)
-      | None -> Error (Printf.sprintf "%s: missing %S" where field)
-    in
-    let* name = str "name" in
-    let* metric = str "metric" in
-    let* op_s = str "op" in
-    let* comparator =
-      Result.map_error (Printf.sprintf "%s: %s" where) (comparator_of_string op_s)
-    in
-    let* threshold =
-      match List.assoc_opt "threshold" fields with
-      | Some (Json.Num v) when Float.is_finite v -> Ok v
-      | Some _ -> Error (Printf.sprintf "%s: \"threshold\" must be a finite number" where)
-      | None -> Error (Printf.sprintf "%s: missing \"threshold\"" where)
-    in
-    let* stat =
-      match List.assoc_opt "stat" fields with
-      | None -> Ok Value
-      | Some (Json.Str s) ->
-        Result.map_error (Printf.sprintf "%s: %s" where) (stat_of_string s)
-      | Some _ -> Error (Printf.sprintf "%s: \"stat\" must be a string" where)
-    in
-    let* for_days =
-      match List.assoc_opt "for_days" fields with
-      | None -> Ok 1
-      | Some (Json.Num v) when Float.is_integer v && v >= 1.0 ->
-        Ok (int_of_float v)
-      | Some _ -> Error (Printf.sprintf "%s: \"for_days\" must be an integer >= 1" where)
-    in
-    let* scope =
-      match List.assoc_opt "scope" fields with
-      | None -> Ok Day
-      | Some (Json.Str s) ->
-        Result.map_error (Printf.sprintf "%s: %s" where) (scope_of_string s)
-      | Some _ -> Error (Printf.sprintf "%s: \"scope\" must be a string" where)
-    in
-    Ok { name; metric; stat; comparator; threshold; for_days; scope }
-  | _ -> Error (Printf.sprintf "rule %d: expected an object" i)
+module R = Json.Read
 
-let rules_of_json j =
-  let arr =
-    match j with
-    | Json.Obj fields -> (
-      match List.assoc_opt "rules" fields with
-      | Some (Json.Arr items) -> Ok items
-      | Some _ -> Error "\"rules\" must be an array"
-      | None -> Error "expected {\"rules\": [...]} or a top-level array")
-    | Json.Arr items -> Ok items
-    | _ -> Error "expected {\"rules\": [...]} or a top-level array"
-  in
-  let* items = arr in
-  if items = [] then Error "no rules given"
+let parsed at of_string s = Result.map_error (Printf.sprintf "%s: %s" at) (of_string s)
+
+let head_of_json at j =
+  let* name = R.str at "name" j in
+  let* metric = R.str at "metric" j in
+  let* op = R.str at "op" j in
+  let* comparator = parsed at comparator_of_string op in
+  let* threshold = R.num at "threshold" j in
+  Ok (name, metric, comparator, threshold)
+
+let checked at make =
+  match make () with
+  | v -> Ok v
+  | exception Invalid_argument msg -> R.fail at "%s" msg
+
+let list_of_json ~key ~kind item j =
+  let* items = match j with Json.Arr items -> Ok items | _ -> R.arr "" key j in
+  if items = [] then Error (Printf.sprintf "no %s given" key)
   else
-    let rec go i acc = function
-      | [] -> Ok (List.rev acc)
-      | item :: rest ->
-        let* r = rule_of_json i item in
-        go (i + 1) (r :: acc) rest
-    in
-    go 0 [] items
+    R.map
+      ~label:
+        (R.labelled (fun i -> function
+          | Some name -> Printf.sprintf "%s %S" kind name
+          | None -> Printf.sprintf "%s %d" kind i))
+      item items
 
-let rules_of_file path =
-  match In_channel.with_open_bin path In_channel.input_all with
-  | exception Sys_error msg -> Error msg
-  | text -> (
-    match Json.parse text with
-    | Error e -> Error (Printf.sprintf "%s: %s" path e)
-    | Ok j -> rules_of_json j)
+let rule_of_json at j =
+  let* name, metric, comparator, threshold = head_of_json at j in
+  let enum k of_string default =
+    let* s = R.opt R.str at k j in
+    match s with None -> Ok default | Some s -> parsed at of_string s
+  in
+  let* stat = enum "stat" stat_of_string Value in
+  let* scope = enum "scope" scope_of_string Day in
+  let* for_days = R.opt (R.int ~lo:1) at "for_days" j in
+  checked at (fun () -> rule ~stat ?for_days ~scope ~name ~metric comparator threshold)
+
+let rules_of_json = list_of_json ~key:"rules" ~kind:"rule" rule_of_json
+let rules_of_file path = Result.bind (R.of_file path) rules_of_json

@@ -133,4 +133,25 @@ val rules_of_json : Json.t -> (rule list, string) result
     [name] when present, index otherwise) and field. *)
 
 val rules_of_file : string -> (rule list, string) result
-(** Read and parse [path], then {!rules_of_json}. *)
+(** {!Json.Read.of_file}, then {!rules_of_json}. *)
+
+(** {2 Shared with {!Slo.specs_of_json}} *)
+
+val head_of_json :
+  string -> Json.t -> (string * string * comparator * float, string) result
+(** [head_of_json at j] reads the fields a rule and an SLO spec share:
+    string ["name"], ["metric"] and ["op"] (parsed as above) and a
+    finite ["threshold"].  Errors are prefixed by [at]. *)
+
+val checked : string -> (unit -> 'a) -> ('a, string) result
+(** Run a smart constructor, turning its [Invalid_argument] into an
+    error labelled [at]. *)
+
+val list_of_json :
+  key:string ->
+  kind:string ->
+  (string -> Json.t -> ('a, string) result) ->
+  Json.t ->
+  ('a list, string) result
+(** Decode [{key: [...]}] or a bare top-level array, non-empty, each
+    element labelled [kind "name"] (or [kind i] without a name). *)

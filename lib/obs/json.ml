@@ -115,9 +115,19 @@ let parse s =
   in
   let hex4 () =
     if !pos + 4 > n then fail "truncated \\u escape";
-    let v = int_of_string ("0x" ^ String.sub s !pos 4) in
+    let digit c =
+      match c with
+      | '0' .. '9' -> Char.code c - 48
+      | 'a' .. 'f' -> Char.code c - 87
+      | 'A' .. 'F' -> Char.code c - 55
+      | _ -> fail "bad \\u escape"
+    in
+    let v = ref 0 in
+    for i = 0 to 3 do
+      v := (!v lsl 4) lor digit s.[!pos + i]
+    done;
     pos := !pos + 4;
-    v
+    !v
   in
   let add_utf8 buf cp =
     if cp < 0x80 then Buffer.add_char buf (Char.chr cp)
@@ -293,3 +303,104 @@ let rec equal a b =
     List.length a = List.length b
     && List.for_all2 (fun (k, v) (k', v') -> String.equal k k' && equal v v') a b
   | _ -> false
+
+(* --- checked readers -------------------------------------------------- *)
+
+module Read = struct
+  type 'a r = ('a, string) result
+
+  let ( let* ) = Result.bind
+
+  let fail at fmt =
+    Printf.ksprintf (fun m -> Error (if at = "" then m else at ^ ": " ^ m)) fmt
+
+  let str at k j =
+    match member k j with Some (Str s) -> Ok s | _ -> fail at "missing string %S" k
+
+  let expect at k want j =
+    let* s = str at k j in
+    if s = want then Ok () else fail at "%s %S, expected %S" k s want
+
+  let above at k lo v =
+    if v >= lo then Ok v
+    else if lo = 0.0 then fail at "%S is negative" k
+    else fail at "%S below %g" k lo
+
+  let num ?lo at k j =
+    match member k j with
+    | Some (Num v) when Float.is_finite v -> (
+      match lo with None -> Ok v | Some lo -> above at k lo v)
+    | Some (Num _) -> fail at "non-finite %S" k
+    | _ -> fail at "missing numeric %S" k
+
+  let int ?lo at k j =
+    match member k j with
+    | Some (Num v) when Float.is_integer v && Float.abs v < 0x1p62 -> (
+      match lo with
+      | None -> Ok (int_of_float v)
+      | Some lo -> Result.map int_of_float (above at k (float_of_int lo) v))
+    | Some (Num v) when Float.is_integer v -> fail at "%S out of range" k
+    | Some (Num _) -> fail at "%S is not an integer" k
+    | _ -> fail at "missing numeric %S" k
+
+  let num_or_null at k j =
+    match member k j with
+    | Some Null -> Ok None
+    | Some (Num v) when Float.is_finite v -> Ok (Some v)
+    | Some _ -> fail at "%S must be a finite number or null" k
+    | None -> fail at "missing %S (number or null)" k
+
+  let arr ?(nonempty = false) at k j =
+    match member k j with
+    | Some (Arr []) when nonempty -> fail at "empty %S array" k
+    | Some (Arr xs) -> Ok xs
+    | _ -> fail at "missing %S array" k
+
+  let obj at k j =
+    match member k j with
+    | Some (Obj _ as o) -> Ok o
+    | _ -> fail at "missing %S object" k
+
+  let all read at keys j =
+    List.fold_left
+      (fun acc k ->
+        let* () = acc in
+        Result.map ignore (read at k j))
+      (Ok ()) keys
+
+  let opt read at k j =
+    match member k j with
+    | None -> Ok None
+    | Some _ -> Result.map Option.some (read at k j)
+
+  let labelled ?(key = "name") f i x =
+    f i (match member key x with Some (Str s) -> Some s | _ -> None)
+
+  let named ?key fmt =
+    labelled ?key (fun i name ->
+        let at = Printf.sprintf fmt i in
+        match name with Some s -> Printf.sprintf "%s (%S)" at s | None -> at)
+
+  let fold ~label f init xs =
+    let rec go i acc = function
+      | [] -> Ok acc
+      | x :: rest ->
+        let* acc = f (label i x) acc x in
+        go (i + 1) acc rest
+    in
+    go 0 init xs
+
+  let map ~label f xs =
+    let* ys = fold ~label (fun at acc x -> Result.map (fun y -> y :: acc) (f at x)) [] xs in
+    Ok (List.rev ys)
+
+  let text path =
+    match In_channel.with_open_bin path In_channel.input_all with
+    | text -> Ok text
+    | exception Sys_error msg ->
+      (* Open errors name the path; read errors ("Is a directory") do not. *)
+      Error (if String.starts_with ~prefix:path msg then msg else path ^ ": " ^ msg)
+
+  let parse at text = Result.map_error (Printf.sprintf "%s: bad JSON: %s" at) (parse text)
+  let of_file path = Result.bind (text path) (parse path)
+end

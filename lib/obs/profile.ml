@@ -206,6 +206,8 @@ let folded t =
   List.iter go t.tree;
   Buffer.contents buf
 
+let schema = "waveidx-profile/1"
+
 let rec node_json n =
   Json.Obj
     [
@@ -229,7 +231,7 @@ let rec node_json n =
 let to_json t =
   Json.Obj
     [
-      ("schema", Json.Str "waveidx-profile/1");
+      ("schema", Json.Str schema);
       ("unit", Json.Str "model-seconds");
       ("total_model_s", Json.Num (total_model t));
       ("spans", Json.int t.span_count);
@@ -238,83 +240,52 @@ let to_json t =
 
 (* --- parsing: read a profile document back ---------------------------- *)
 
+module R = Json.Read
+
 let ( let* ) = Result.bind
 
-(* Lenient on the cost fields (0 when absent) so hand-trimmed baselines
-   still load; strict on the tree shape (name, calls, children). *)
-let rec node_of_json parent_path j =
-  let str k = Option.bind (Json.member k j) Json.to_str in
-  let num k = Option.bind (Json.member k j) Json.to_float in
-  let fnum k = Option.value ~default:0.0 (num k) in
-  let inum k = int_of_float (fnum k) in
-  match str "name" with
-  | None ->
-    Error
-      (Printf.sprintf "%s: node missing string \"name\""
-         (String.concat "/" parent_path))
-  | Some name -> (
-    let path = parent_path @ [ name ] in
-    let where = String.concat "/" path in
-    let* calls =
-      match num "calls" with
-      | Some c when c >= 1.0 -> Ok (int_of_float c)
-      | _ -> Error (Printf.sprintf "%s: \"calls\" missing or below 1" where)
-    in
-    match Option.bind (Json.member "children" j) Json.to_list with
-    | None -> Error (Printf.sprintf "%s: missing \"children\" array" where)
-    | Some kids ->
-      let* children =
-        List.fold_left
-          (fun acc kid ->
-            let* acc = acc in
-            let* c = node_of_json path kid in
-            Ok (c :: acc))
-          (Ok []) kids
-      in
-      Ok
-        {
-          name;
-          path;
-          calls;
-          total_model = fnum "total_model_s";
-          self_model = fnum "self_model_s";
-          seeks = inum "seeks";
-          self_seeks = inum "self_seeks";
-          blocks_read = inum "blocks_read";
-          self_blocks_read = inum "self_blocks_read";
-          blocks_written = inum "blocks_written";
-          self_blocks_written = inum "self_blocks_written";
-          bytes_read = inum "bytes_read";
-          self_bytes_read = inum "self_bytes_read";
-          bytes_written = inum "bytes_written";
-          self_bytes_written = inum "self_bytes_written";
-          children = List.rev children;
-        })
+(* A node is labelled by its '/'-joined path, or by its index under its
+   parent when it has no name. *)
+let child_label at =
+  R.labelled (fun i -> function
+    | Some name -> at ^ "/" ^ name
+    | None -> Printf.sprintf "%s/[%d]" at i)
+
+let rec node_of_json parent_path at j =
+  let* name = R.str at "name" j in
+  let path = parent_path @ [ name ] in
+  let* calls = R.int ~lo:1 at "calls" j in
+  let num k = R.num ~lo:0.0 at k j and int k = R.int ~lo:0 at k j in
+  let* total_model = num "total_model_s" in
+  let* self_model = num "self_model_s" in
+  let* seeks = int "seeks" in
+  let* self_seeks = int "self_seeks" in
+  let* blocks_read = int "blocks_read" in
+  let* self_blocks_read = int "self_blocks_read" in
+  let* blocks_written = int "blocks_written" in
+  let* self_blocks_written = int "self_blocks_written" in
+  let* bytes_read = int "bytes_read" in
+  let* self_bytes_read = int "self_bytes_read" in
+  let* bytes_written = int "bytes_written" in
+  let* self_bytes_written = int "self_bytes_written" in
+  let* kids = R.arr at "children" j in
+  let* children = R.map ~label:(child_label at) (node_of_json path) kids in
+  Ok
+    {
+      name; path; calls; total_model; self_model; seeks; self_seeks;
+      blocks_read; self_blocks_read; blocks_written; self_blocks_written;
+      bytes_read; self_bytes_read; bytes_written; self_bytes_written;
+      children;
+    }
 
 let of_json j =
-  let str k = Option.bind (Json.member k j) Json.to_str in
-  match str "schema" with
-  | None -> Error "missing string \"schema\""
-  | Some s when s <> "waveidx-profile/1" ->
-    Error (Printf.sprintf "schema %S, expected \"waveidx-profile/1\"" s)
-  | Some _ -> (
-    let spans =
-      match Option.bind (Json.member "spans" j) Json.to_float with
-      | Some v -> int_of_float v
-      | None -> 0
-    in
-    match Option.bind (Json.member "roots" j) Json.to_list with
-    | None -> Error "missing \"roots\" array"
-    | Some roots ->
-      let* tree =
-        List.fold_left
-          (fun acc r ->
-            let* acc = acc in
-            let* n = node_of_json [] r in
-            Ok (n :: acc))
-          (Ok []) roots
-      in
-      Ok { tree = List.rev tree; span_count = spans })
+  let* () = R.expect "" "schema" schema j in
+  let* () = R.expect "" "unit" "model-seconds" j in
+  let* _ = R.num ~lo:0.0 "" "total_model_s" j in
+  let* spans = R.opt (R.int ~lo:0) "" "spans" j in
+  let* roots = R.arr "" "roots" j in
+  let* tree = R.map ~label:(child_label "") (node_of_json []) roots in
+  Ok { tree; span_count = Option.value ~default:0 spans }
 
 (* --- diffing: align two trees by span-stack path ---------------------- *)
 

@@ -90,12 +90,19 @@ val to_json : t -> Json.t
     node carries name, calls, total/self model-seconds, total/self
     seeks, blocks and bytes, and its children. *)
 
+val schema : string
+(** ["waveidx-profile/1"], the {!to_json} schema tag. *)
+
 val of_json : Json.t -> (t, string) result
 (** Parse a {!to_json} document back into a profile — the [--diff]
-    baseline loader.  Strict on the tree shape (schema tag, ["name"],
-    ["calls"] >= 1, ["children"]); lenient on cost fields (0 when
-    absent) so trimmed baselines still load.  Node order is preserved
-    as written. *)
+    baseline loader and the [profile --json] self-check.  Checks the
+    schema tag, ["unit"] = "model-seconds", a non-negative
+    ["total_model_s"], and a ["roots"] tree whose every node carries a
+    string ["name"], integer ["calls"] >= 1, every cost field
+    (non-negative; the counters integral) and a ["children"] array.  A
+    node missing a cost field is an error naming the node's path
+    ([/day/phase.query]) and the field, never a zero.  Node order is
+    preserved as written. *)
 
 (** {1 Differential profiles}
 

@@ -136,57 +136,26 @@ let write_chrome ?(clock = `Model) ~path ~spans ~instants () =
 
 (* --- validation ----------------------------------------------------- *)
 
-let validate_event i ev =
-  let fail fmt = Printf.ksprintf (fun m -> Error (Printf.sprintf "event %d: %s" i m)) fmt in
-  let num k = Option.bind (Json.member k ev) Json.to_float in
-  let str k = Option.bind (Json.member k ev) Json.to_str in
-  match str "name" with
-  | None -> fail "missing string \"name\""
-  | Some _ -> (
-    match str "ph" with
-    | None -> fail "missing string \"ph\""
-    | Some ph -> (
-      match num "ts" with
-      | None -> fail "missing numeric \"ts\""
-      | Some ts when Float.is_nan ts -> fail "non-finite \"ts\""
-      | Some _ -> (
-        match (num "pid", num "tid") with
-        | Some _, Some _ -> (
-          if ph <> "X" then Ok ()
-          else
-            match num "dur" with
-            | Some d when d >= 0.0 -> Ok ()
-            | Some _ -> fail "negative \"dur\""
-            | None -> fail "\"X\" event missing \"dur\"")
-        | _ -> fail "missing \"pid\"/\"tid\"")))
+(* Every reader below decodes through Json.Read, so each error names
+   the element, then the field, then what is wrong with it. *)
+module R = Json.Read
+
+let ( let* ) = Result.bind
 
 let validate_chrome j =
-  match Json.member "traceEvents" j with
-  | None -> Error "missing \"traceEvents\""
-  | Some events -> (
-    match Json.to_list events with
-    | None -> Error "\"traceEvents\" is not an array"
-    | Some evs ->
-      let rec go i = function
-        | [] -> Ok (List.length evs)
-        | ev :: rest -> (
-          match validate_event i ev with Ok () -> go (i + 1) rest | Error e -> Error e)
-      in
-      go 0 evs)
+  let* events = R.arr "" "traceEvents" j in
+  R.fold
+    ~label:(fun i _ -> Printf.sprintf "event %d" i)
+    (fun at n ev ->
+      let* _ = R.str at "name" ev in
+      let* ph = R.str at "ph" ev in
+      let* _ = R.num at "ts" ev in
+      let* () = R.all R.int at [ "pid"; "tid" ] ev in
+      let* _ = if ph = "X" then R.num ~lo:0.0 at "dur" ev else Ok 0.0 in
+      Ok (n + 1))
+    0 events
 
-let read_parse path =
-  let ic = open_in_bin path in
-  let contents =
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
-  match Json.parse contents with
-  | Error e -> Error (Printf.sprintf "%s: bad JSON: %s" path e)
-  | Ok j -> Ok j
-
-let validate_chrome_file path =
-  match read_parse path with Error e -> Error e | Ok j -> validate_chrome j
+let validate_chrome_file path = Result.bind (R.of_file path) validate_chrome
 
 (* --- bench snapshot validation --------------------------------------- *)
 
@@ -207,120 +176,49 @@ let required_bench_series =
     "throughput+shards/8";
   ]
 
-let validate_benchmark i b =
-  (* Name the series in every error so a failing corpus line is
-     actionable without counting array elements. *)
-  let label =
-    match Option.bind (Json.member "name" b) Json.to_str with
-    | Some name -> Printf.sprintf "benchmark %d (%S)" i name
-    | None -> Printf.sprintf "benchmark %d" i
-  in
-  let fail fmt = Printf.ksprintf (fun m -> Error (Printf.sprintf "%s: %s" label m)) fmt in
-  let num k o = Option.bind (Json.member k o) Json.to_float in
-  let str k o = Option.bind (Json.member k o) Json.to_str in
-  let ( let* ) = Result.bind in
-  let non_negative o name keys =
-    List.fold_left
-      (fun acc key ->
-        let* () = acc in
-        match num key o with
-        | Some v when v >= 0.0 -> Ok ()
-        | Some _ -> fail "%s.%s is negative" name key
-        | None -> fail "%s missing numeric %S" name key)
-      (Ok ()) keys
-  in
+(* Returns the series name, so the caller can check the required set. *)
+let validate_benchmark at b =
+  let* name = R.str at "name" b in
+  let* () = R.all (R.num ~lo:0.0) at [ "p50"; "p95" ] b in
+  let* _ = R.int ~lo:1 at "runs" b in
+  let* cache = R.opt R.obj at "cache" b in
   let* () =
-    match str "name" b with
-    | None -> fail "missing string \"name\""
-    | Some _ -> Ok ()
-  in
-  let* () = non_negative b "benchmark" [ "p50"; "p95" ] in
-  let* () =
-    match num "runs" b with
-    | Some r when r >= 1.0 -> Ok ()
-    | Some _ -> fail "\"runs\" below 1"
-    | None -> fail "missing numeric \"runs\""
-  in
-  let* () =
-    match Json.member "cache" b with
+    match cache with
     | None -> Ok ()
-    | Some c -> (
-      match num "hit_ratio" c with
-      | Some r when r >= 0.0 && r <= 1.0 ->
-        non_negative c "cache" [ "hits"; "misses"; "frames" ]
-      | Some _ -> fail "cache.hit_ratio outside [0, 1]"
-      | None -> fail "cache missing numeric \"hit_ratio\"")
+    | Some c ->
+      let at = at ^ ".cache" in
+      let* r = R.num ~lo:0.0 at "hit_ratio" c in
+      if r > 1.0 then R.fail at "\"hit_ratio\" outside [0, 1]"
+      else R.all (R.int ~lo:0) at [ "hits"; "misses"; "frames" ] c
   in
-  match Json.member "writeback" b with
-  | None -> Ok ()
-  | Some wb ->
-    non_negative wb "writeback"
-      [ "writes_coalesced"; "flushes"; "flushed_blocks" ]
+  let* wb = R.opt R.obj at "writeback" b in
+  let* () =
+    match wb with
+    | None -> Ok ()
+    | Some wb ->
+      R.all (R.int ~lo:0) (at ^ ".writeback")
+        [ "writes_coalesced"; "flushes"; "flushed_blocks" ]
+        wb
+  in
+  Ok name
 
 (* The /4 schema adds a required "profile" summary block: which traced
    run produced it and its hottest nodes by self model-seconds. *)
 let validate_profile_block p =
-  let fail fmt = Printf.ksprintf (fun m -> Error (Printf.sprintf "profile: %s" m)) fmt in
-  let num k o = Option.bind (Json.member k o) Json.to_float in
-  let str k o = Option.bind (Json.member k o) Json.to_str in
-  let ( let* ) = Result.bind in
-  let* () =
-    match str "scheme" p with
-    | Some _ -> Ok ()
-    | None -> fail "missing string \"scheme\""
-  in
-  let* () =
-    match str "technique" p with
-    | Some _ -> Ok ()
-    | None -> fail "missing string \"technique\""
-  in
-  let* () =
-    match num "days" p with
-    | Some d when d >= 1.0 -> Ok ()
-    | Some _ -> fail "\"days\" below 1"
-    | None -> fail "missing numeric \"days\""
-  in
-  let* () =
-    match num "total_model_s" p with
-    | Some v when v >= 0.0 -> Ok ()
-    | Some _ -> fail "\"total_model_s\" is negative"
-    | None -> fail "missing numeric \"total_model_s\""
-  in
-  match Option.bind (Json.member "top" p) Json.to_list with
-  | None -> fail "missing \"top\" array"
-  | Some [] -> fail "empty \"top\" array"
-  | Some tops ->
-    let check_top i n =
-      let fail fmt =
-        Printf.ksprintf (fun m -> Error (Printf.sprintf "profile.top[%d]: %s" i m)) fmt
-      in
-      let* () =
-        match str "path" n with
-        | Some _ -> Ok ()
-        | None -> fail "missing string \"path\""
-      in
-      let* () =
-        match num "calls" n with
-        | Some c when c >= 1.0 -> Ok ()
-        | Some _ -> fail "\"calls\" below 1"
-        | None -> fail "missing numeric \"calls\""
-      in
-      List.fold_left
-        (fun acc key ->
-          let* () = acc in
-          match num key n with
-          | Some v when v >= 0.0 -> Ok ()
-          | Some _ -> fail "%S is negative" key
-          | None -> fail "missing numeric %S" key)
-        (Ok ())
-        [ "self_model_s"; "total_model_s"; "seeks" ]
-    in
-    let rec go i = function
-      | [] -> Ok ()
-      | n :: rest -> (
-        match check_top i n with Ok () -> go (i + 1) rest | Error e -> Error e)
-    in
-    go 0 tops
+  let at = "profile" in
+  let* _ = R.str at "scheme" p in
+  let* _ = R.str at "technique" p in
+  let* _ = R.int ~lo:1 at "days" p in
+  let* _ = R.num ~lo:0.0 at "total_model_s" p in
+  let* tops = R.arr ~nonempty:true at "top" p in
+  R.fold
+    ~label:(R.named ~key:"path" "profile.top[%d]")
+    (fun at () n ->
+      let* _ = R.str at "path" n in
+      let* _ = R.int ~lo:1 at "calls" n in
+      let* () = R.all (R.num ~lo:0.0) at [ "self_model_s"; "total_model_s" ] n in
+      Result.map ignore (R.int ~lo:0 at "seeks" n))
+    () tops
 
 (* The /7 schema's required "series" block: a compact per-metric
    summary of the canonical run's time-series (the full ring dump
@@ -328,124 +226,37 @@ let validate_profile_block p =
 let series_schema = "waveidx-series/1"
 
 let validate_series_block sb =
-  let fail fmt = Printf.ksprintf (fun m -> Error (Printf.sprintf "series: %s" m)) fmt in
-  let num k o = Option.bind (Json.member k o) Json.to_float in
-  let str k o = Option.bind (Json.member k o) Json.to_str in
-  let ( let* ) = Result.bind in
-  let* () =
-    match str "schema" sb with
-    | Some s when s = series_schema -> Ok ()
-    | Some s -> fail "schema %S, expected %S" s series_schema
-    | None -> fail "missing string \"schema\""
-  in
-  let* () =
-    match num "ticks" sb with
-    | Some t when t >= 1.0 -> Ok ()
-    | Some _ -> fail "\"ticks\" below 1"
-    | None -> fail "missing numeric \"ticks\""
-  in
-  match Option.bind (Json.member "tracked" sb) Json.to_list with
-  | None -> fail "missing \"tracked\" array"
-  | Some [] -> fail "empty \"tracked\" array"
-  | Some tracked ->
-    let check i e =
-      let fail fmt =
-        Printf.ksprintf
-          (fun m -> Error (Printf.sprintf "series.tracked[%d]: %s" i m))
-          fmt
-      in
-      let* () =
-        match str "name" e with
-        | Some _ -> Ok ()
-        | None -> fail "missing string \"name\""
-      in
-      let* () =
-        match num "points" e with
-        | Some p when p >= 1.0 -> Ok ()
-        | Some _ -> fail "\"points\" below 1"
-        | None -> fail "missing numeric \"points\""
-      in
-      let* () =
-        List.fold_left
-          (fun acc key ->
-            let* () = acc in
-            match num key e with
-            | Some v when Float.is_finite v -> Ok ()
-            | Some _ -> fail "non-finite %S" key
-            | None -> fail "missing numeric %S" key)
-          (Ok ())
-          [ "last"; "mean"; "p95" ]
-      in
-      match Json.member "trend" e with
-      | None -> fail "missing \"trend\" (number or null)"
-      | Some Json.Null -> Ok ()
-      | Some (Json.Num v) when Float.is_finite v -> Ok ()
-      | Some _ -> fail "\"trend\" must be a finite number or null"
-    in
-    let rec go i = function
-      | [] -> Ok ()
-      | e :: rest -> (
-        match check i e with Ok () -> go (i + 1) rest | Error e -> Error e)
-    in
-    go 0 tracked
+  let at = "series" in
+  let* () = R.expect at "schema" series_schema sb in
+  let* _ = R.int ~lo:1 at "ticks" sb in
+  let* tracked = R.arr ~nonempty:true at "tracked" sb in
+  R.fold
+    ~label:(R.named "series.tracked[%d]")
+    (fun at () e ->
+      let* _ = R.str at "name" e in
+      let* _ = R.int ~lo:1 at "points" e in
+      let* () = R.all R.num at [ "last"; "mean"; "p95" ] e in
+      Result.map ignore (R.num_or_null at "trend" e))
+    () tracked
 
 let validate_bench j =
-  let str k o = Option.bind (Json.member k o) Json.to_str in
-  match str "schema" j with
-  | None -> Error "missing string \"schema\""
-  | Some s when s <> bench_schema ->
-    Error (Printf.sprintf "schema %S, expected %S" s bench_schema)
-  | Some _ -> (
-    match str "unit" j with
-    | Some "model-seconds" -> (
-      match Option.bind (Json.member "benchmarks" j) Json.to_list with
-      | None -> Error "missing \"benchmarks\" array"
-      | Some [] -> Error "empty \"benchmarks\" array"
-      | Some bs -> (
-        let rec go i = function
-          | [] -> Ok (List.length bs)
-          | b :: rest -> (
-            match validate_benchmark i b with
-            | Ok () -> go (i + 1) rest
-            | Error e -> Error e)
-        in
-        let series_present name =
-          List.exists
-            (fun b ->
-              match Option.bind (Json.member "name" b) Json.to_str with
-              | Some s -> s = name
-              | None -> false)
-            bs
-        in
-        match go 0 bs with
-        | Error e -> Error e
-        | Ok _ when List.exists (fun s -> not (series_present s))
-                      required_bench_series ->
-          let missing =
-            List.filter (fun s -> not (series_present s)) required_bench_series
-          in
-          Error
-            (Printf.sprintf "missing required series %s"
-               (String.concat ", "
-                  (List.map (Printf.sprintf "%S") missing)))
-        | Ok n -> (
-          match Json.member "profile" j with
-          | None -> Error "missing \"profile\" block"
-          | Some p -> (
-            match validate_profile_block p with
-            | Error e -> Error e
-            | Ok () -> (
-              match Json.member "series" j with
-              | None -> Error "missing \"series\" block"
-              | Some sb -> (
-                match validate_series_block sb with
-                | Error e -> Error e
-                | Ok () -> Ok n))))))
-    | Some u -> Error (Printf.sprintf "unit %S, expected \"model-seconds\"" u)
-    | None -> Error "missing string \"unit\"")
+  let* () = R.expect "" "schema" bench_schema j in
+  let* () = R.expect "" "unit" "model-seconds" j in
+  let* bs = R.arr ~nonempty:true "" "benchmarks" j in
+  let* names = R.map ~label:(R.named "benchmark %d") validate_benchmark bs in
+  let* () =
+    match List.filter (fun s -> not (List.mem s names)) required_bench_series with
+    | [] -> Ok ()
+    | missing ->
+      Error
+        (Printf.sprintf "missing required series %s"
+           (String.concat ", " (List.map (Printf.sprintf "%S") missing)))
+  in
+  let* () = Result.bind (R.obj "" "profile" j) validate_profile_block in
+  let* () = Result.bind (R.obj "" "series" j) validate_series_block in
+  Ok (List.length bs)
 
-let validate_bench_file path =
-  match read_parse path with Error e -> Error e | Ok j -> validate_bench j
+let validate_bench_file path = Result.bind (R.of_file path) validate_bench
 
 (* --- bench regression gate -------------------------------------------- *)
 
@@ -455,33 +266,15 @@ type bench_series = { series_name : string; series_p50 : float; series_p95 : flo
    snapshot version so old baselines stay comparable across schema
    bumps. *)
 let bench_series j =
-  match Option.bind (Json.member "benchmarks" j) Json.to_list with
-  | None -> Error "missing \"benchmarks\" array"
-  | Some bs ->
-    let rec go i acc = function
-      | [] -> Ok (List.rev acc)
-      | b :: rest -> (
-        let num k = Option.bind (Json.member k b) Json.to_float in
-        match Option.bind (Json.member "name" b) Json.to_str with
-        | None -> Error (Printf.sprintf "benchmark %d: missing string \"name\"" i)
-        | Some name -> (
-          match (num "p50", num "p95") with
-          | Some p50, Some p95 ->
-            go (i + 1) ({ series_name = name; series_p50 = p50; series_p95 = p95 } :: acc) rest
-          | None, _ ->
-            Error (Printf.sprintf "benchmark %d (%S): missing numeric \"p50\"" i name)
-          | _, None ->
-            Error (Printf.sprintf "benchmark %d (%S): missing numeric \"p95\"" i name)))
-    in
-    go 0 [] bs
-
-let bench_series_file path =
-  match read_parse path with
-  | Error e -> Error e
-  | Ok j -> (
-    match bench_series j with
-    | Error e -> Error (Printf.sprintf "%s: %s" path e)
-    | Ok xs -> Ok xs)
+  let* bs = R.arr "" "benchmarks" j in
+  R.map
+    ~label:(R.named "benchmark %d")
+    (fun at b ->
+      let* series_name = R.str at "name" b in
+      let* series_p50 = R.num at "p50" b in
+      let* series_p95 = R.num at "p95" b in
+      Ok { series_name; series_p50; series_p95 })
+    bs
 
 type bench_delta = {
   delta_name : string;
@@ -613,79 +406,12 @@ let comparison_report c =
 
 (* --- profile documents ------------------------------------------------ *)
 
-let profile_schema = "waveidx-profile/1"
+let profile_schema = Profile.schema
 
 let validate_profile j =
-  let str k o = Option.bind (Json.member k o) Json.to_str in
-  let num k o = Option.bind (Json.member k o) Json.to_float in
-  let rec check_node path n =
-    let fail fmt = Printf.ksprintf (fun m -> Error (Printf.sprintf "%s: %s" path m)) fmt in
-    match str "name" n with
-    | None -> fail "missing string \"name\""
-    | Some name -> (
-      let here = path ^ "/" ^ name in
-      let fail fmt =
-        Printf.ksprintf (fun m -> Error (Printf.sprintf "%s: %s" here m)) fmt
-      in
-      let ( let* ) = Result.bind in
-      let* () =
-        match num "calls" n with
-        | Some c when c >= 1.0 -> Ok ()
-        | Some _ -> fail "\"calls\" below 1"
-        | None -> fail "missing numeric \"calls\""
-      in
-      let* () =
-        List.fold_left
-          (fun acc key ->
-            let* () = acc in
-            match num key n with
-            | Some v when v >= 0.0 -> Ok ()
-            | Some _ -> fail "%S is negative" key
-            | None -> fail "missing numeric %S" key)
-          (Ok ())
-          [
-            "total_model_s"; "self_model_s"; "seeks"; "self_seeks"; "blocks_read";
-            "blocks_written"; "bytes_read"; "bytes_written";
-          ]
-      in
-      match Option.bind (Json.member "children" n) Json.to_list with
-      | None -> fail "missing \"children\" array"
-      | Some kids ->
-        List.fold_left
-          (fun acc kid ->
-            let* count = acc in
-            let* k = check_node here kid in
-            Ok (count + k))
-          (Ok 1) kids)
-  in
-  match str "schema" j with
-  | None -> Error "missing string \"schema\""
-  | Some s when s <> profile_schema ->
-    Error (Printf.sprintf "schema %S, expected %S" s profile_schema)
-  | Some _ -> (
-    match str "unit" j with
-    | Some "model-seconds" -> (
-      match num "total_model_s" j with
-      | None -> Error "missing numeric \"total_model_s\""
-      | Some v when v < 0.0 -> Error "\"total_model_s\" is negative"
-      | Some _ -> (
-        match Option.bind (Json.member "roots" j) Json.to_list with
-        | None -> Error "missing \"roots\" array"
-        | Some roots ->
-          List.fold_left
-            (fun acc r ->
-              match acc with
-              | Error _ as e -> e
-              | Ok count -> (
-                match check_node "" r with
-                | Ok k -> Ok (count + k)
-                | Error _ as e -> e))
-            (Ok 0) roots))
-    | Some u -> Error (Printf.sprintf "unit %S, expected \"model-seconds\"" u)
-    | None -> Error "missing string \"unit\"")
+  Result.map (fun p -> List.length (Profile.nodes p)) (Profile.of_json j)
 
-let validate_profile_file path =
-  match read_parse path with Error e -> Error e | Ok j -> validate_profile j
+let validate_profile_file path = Result.bind (R.of_file path) validate_profile
 
 let write_folded ~path profile = write_file path (Profile.folded profile)
 
@@ -729,109 +455,61 @@ let flush_traces ~reason =
 
 let flight_schema = "waveidx-flight/1"
 
-let validate_flight_event i j =
-  let fail fmt =
-    Printf.ksprintf (fun m -> Error (Printf.sprintf "event %d: %s" i m)) fmt
+(* Per event type: its string, numeric and integer payload fields. *)
+let flight_payloads =
+  [
+    ( "span",
+      ( [ "name" ],
+        [ "dur_model_s" ],
+        [ "seeks"; "blocks_read"; "blocks_written"; "bytes_read"; "bytes_written" ] ) );
+    ("metric", ([ "name" ], [ "value"; "delta" ], []));
+    ("alert", ([ "rule"; "metric"; "scope" ], [ "value" ], [ "day" ]));
+    ("io", ([ "syscall"; "outcome" ], [], [ "bytes" ]));
+    ("epoch", ([ "event" ], [], [ "gen"; "refcount" ]));
+  ]
+
+let validate_flight_event at last_seq line =
+  let* j = R.parse at line in
+  let* seq = R.int at "seq" j in
+  let* () = R.all R.num at [ "model_s"; "wall_s" ] j in
+  let* ty = R.str at "type" j in
+  let* () =
+    match List.assoc_opt ty flight_payloads with
+    | None -> R.fail at "unknown type %S" ty
+    | Some (strs, nums, ints) ->
+      let* () = R.all R.str at strs j in
+      let* () = R.all R.num at nums j in
+      R.all R.int at ints j
   in
-  let num k = Option.bind (Json.member k j) Json.to_float in
-  let str k = Option.bind (Json.member k j) Json.to_str in
-  let ( let* ) = Result.bind in
-  let require_num keys =
-    List.fold_left
-      (fun acc k ->
-        let* () = acc in
-        match num k with
-        | Some v when Float.is_finite v -> Ok ()
-        | Some _ -> fail "non-finite %S" k
-        | None -> fail "missing numeric %S" k)
-      (Ok ()) keys
-  in
-  let require_str keys =
-    List.fold_left
-      (fun acc k ->
-        let* () = acc in
-        match str k with
-        | Some _ -> Ok ()
-        | None -> fail "missing string %S" k)
-      (Ok ()) keys
-  in
-  let* () = require_num [ "seq"; "model_s"; "wall_s" ] in
-  match str "type" with
-  | Some "span" ->
-    let* () = require_str [ "name" ] in
-    require_num
-      [ "dur_model_s"; "seeks"; "blocks_read"; "blocks_written"; "bytes_read";
-        "bytes_written" ]
-  | Some "metric" ->
-    let* () = require_str [ "name" ] in
-    require_num [ "value"; "delta" ]
-  | Some "alert" ->
-    let* () = require_str [ "rule"; "metric"; "scope" ] in
-    require_num [ "value"; "day" ]
-  | Some "io" ->
-    let* () = require_str [ "syscall"; "outcome" ] in
-    require_num [ "bytes" ]
-  | Some "epoch" ->
-    let* () = require_str [ "event" ] in
-    require_num [ "gen"; "refcount" ]
-  | Some t -> fail "unknown type %S" t
-  | None -> fail "missing string \"type\""
+  if seq > last_seq then Ok seq else R.fail at "non-increasing \"seq\""
 
 (* The dump is JSONL, so validation takes the raw text: a header line
    (schema tag, reason, counts) followed by one event object per line
    with strictly increasing "seq".  Returns the event count. *)
 let validate_flight text =
-  let lines =
-    String.split_on_char '\n' text
-    |> List.filter (fun l -> String.trim l <> "")
-  in
-  match lines with
+  match
+    String.split_on_char '\n' text |> List.filter (fun l -> String.trim l <> "")
+  with
   | [] -> Error "empty dump"
-  | header :: events -> (
-    match Json.parse header with
-    | Error e -> Error (Printf.sprintf "header: bad JSON: %s" e)
-    | Ok h -> (
-      let num k = Option.bind (Json.member k h) Json.to_float in
-      let str k = Option.bind (Json.member k h) Json.to_str in
-      match str "schema" with
-      | None -> Error "header: missing string \"schema\""
-      | Some s when s <> flight_schema ->
-        Error (Printf.sprintf "header: schema %S, expected %S" s flight_schema)
-      | Some _ -> (
-        match str "reason" with
-        | None -> Error "header: missing string \"reason\""
-        | Some _ -> (
-          match (num "events", num "dropped") with
-          | Some ev, Some dr when ev >= 0.0 && dr >= 0.0 -> (
-            if int_of_float ev <> List.length events then
-              Error
-                (Printf.sprintf "header claims %d events, dump has %d"
-                   (int_of_float ev) (List.length events))
-            else
-              let rec go i last_seq = function
-                | [] -> Ok (List.length events)
-                | line :: rest -> (
-                  match Json.parse line with
-                  | Error e ->
-                    Error (Printf.sprintf "event %d: bad JSON: %s" i e)
-                  | Ok j -> (
-                    match validate_flight_event i j with
-                    | Error e -> Error e
-                    | Ok () -> (
-                      match Option.bind (Json.member "seq" j) Json.to_float with
-                      | Some seq when seq > last_seq -> go (i + 1) seq rest
-                      | Some _ ->
-                        Error
-                          (Printf.sprintf "event %d: non-increasing \"seq\"" i)
-                      | None -> assert false)))
-              in
-              go 0 neg_infinity events)
-          | _ -> Error "header: missing numeric \"events\"/\"dropped\""))))
+  | header :: events ->
+    let at = "header" in
+    let* h = R.parse at header in
+    let* () = R.expect at "schema" flight_schema h in
+    let* _ = R.str at "reason" h in
+    let* claimed = R.int ~lo:0 at "events" h in
+    let* _ = R.int ~lo:0 at "dropped" h in
+    let n = List.length events in
+    if claimed <> n then
+      Error (Printf.sprintf "header claims %d events, dump has %d" claimed n)
+    else
+      let* _ =
+        R.fold
+          ~label:(fun i _ -> Printf.sprintf "event %d" i)
+          validate_flight_event min_int events
+      in
+      Ok n
 
-let validate_flight_file path =
-  match In_channel.with_open_bin path In_channel.input_all with
-  | exception Sys_error msg -> Error msg
-  | text -> validate_flight text
+let validate_flight_file path = Result.bind (R.text path) validate_flight
 
 (* --- profile-node gate ------------------------------------------------ *)
 
@@ -845,47 +523,17 @@ type profile_top_node = {
 (* Extract the bench snapshot's "profile" block top nodes — the flat
    hot list committed in BENCH_wave.json, not a full tree. *)
 let bench_profile_top j =
-  match Json.member "profile" j with
-  | None -> Error "missing \"profile\" block"
-  | Some p -> (
-    match Option.bind (Json.member "top" p) Json.to_list with
-    | None -> Error "profile: missing \"top\" array"
-    | Some tops ->
-      let rec go i acc = function
-        | [] -> Ok (List.rev acc)
-        | n :: rest -> (
-          let num k = Option.bind (Json.member k n) Json.to_float in
-          match Option.bind (Json.member "path" n) Json.to_str with
-          | None ->
-            Error (Printf.sprintf "profile.top[%d]: missing string \"path\"" i)
-          | Some path -> (
-            match (num "calls", num "self_model_s", num "total_model_s") with
-            | Some calls, Some self, Some total ->
-              go (i + 1)
-                ({
-                   top_path = path;
-                   top_calls = int_of_float calls;
-                   top_self = self;
-                   top_total = total;
-                 }
-                :: acc)
-                rest
-            | _ ->
-              Error
-                (Printf.sprintf
-                   "profile.top[%d] (%S): missing numeric \
-                    \"calls\"/\"self_model_s\"/\"total_model_s\""
-                   i path)))
-      in
-      go 0 [] tops)
-
-let bench_profile_top_file path =
-  match read_parse path with
-  | Error e -> Error e
-  | Ok j -> (
-    match bench_profile_top j with
-    | Error e -> Error (Printf.sprintf "%s: %s" path e)
-    | Ok xs -> Ok xs)
+  let* p = R.obj "" "profile" j in
+  let* tops = R.arr "profile" "top" p in
+  R.map
+    ~label:(R.named ~key:"path" "profile.top[%d]")
+    (fun at n ->
+      let* top_path = R.str at "path" n in
+      let* top_calls = R.int at "calls" n in
+      let* top_self = R.num at "self_model_s" n in
+      let* top_total = R.num at "total_model_s" n in
+      Ok { top_path; top_calls; top_self; top_total })
+    tops
 
 type profile_gate = {
   pg_compared : int;
@@ -968,77 +616,31 @@ let profile_gate_report g =
 (* --- series dumps ----------------------------------------------------- *)
 
 let validate_series j =
-  let str k o = Option.bind (Json.member k o) Json.to_str in
-  let num k o = Option.bind (Json.member k o) Json.to_float in
-  match str "schema" j with
-  | None -> Error "missing string \"schema\""
-  | Some s when s <> series_schema ->
-    Error (Printf.sprintf "schema %S, expected %S" s series_schema)
-  | Some _ -> (
-    match num "cap" j with
-    | None -> Error "missing numeric \"cap\""
-    | Some c when c < 1.0 -> Error "\"cap\" below 1"
-    | Some cap -> (
-      match num "ticks" j with
-      | None -> Error "missing numeric \"ticks\""
-      | Some t when t < 0.0 -> Error "negative \"ticks\""
-      | Some _ -> (
-        match Option.bind (Json.member "series" j) Json.to_list with
-        | None -> Error "missing \"series\" array"
-        | Some entries ->
-          let validate_points label ps =
-            let rec go i last_tick count = function
-              | [] -> Ok count
-              | p :: rest -> (
-                let fail fmt =
-                  Printf.ksprintf
-                    (fun m ->
-                      Error (Printf.sprintf "%s point %d: %s" label i m))
-                    fmt
-                in
-                match
-                  ( Option.bind (Json.member "tick" p) Json.to_float,
-                    Option.bind (Json.member "day" p) Json.to_float,
-                    Option.bind (Json.member "value" p) Json.to_float )
-                with
-                | None, _, _ -> fail "missing numeric \"tick\""
-                | _, None, _ -> fail "missing numeric \"day\""
-                | _, _, None -> fail "missing numeric \"value\""
-                | Some tk, Some _, Some v ->
-                  if tk < 0.0 then fail "negative \"tick\""
-                  else if tk < last_tick then fail "decreasing \"tick\""
-                  else if not (Float.is_finite v) then fail "non-finite \"value\""
-                  else go (i + 1) tk (count + 1) rest)
-            in
-            go 0 neg_infinity 0 ps
-          in
-          let rec go i total = function
-            | [] -> Ok total
-            | e :: rest -> (
-              match str "name" e with
-              | None ->
-                Error (Printf.sprintf "series %d: missing string \"name\"" i)
-              | Some name -> (
-                match Option.bind (Json.member "points" e) Json.to_list with
-                | None ->
-                  Error
-                    (Printf.sprintf "series %d (%S): missing \"points\" array" i
-                       name)
-                | Some ps when List.length ps > int_of_float cap ->
-                  Error
-                    (Printf.sprintf "series %d (%S): %d points exceed cap %d" i
-                       name (List.length ps) (int_of_float cap))
-                | Some ps -> (
-                  match
-                    validate_points (Printf.sprintf "series %d (%S)" i name) ps
-                  with
-                  | Error e -> Error e
-                  | Ok n -> go (i + 1) (total + n) rest)))
-          in
-          go 0 0 entries)))
+  let* () = R.expect "" "schema" series_schema j in
+  let* cap = R.int ~lo:1 "" "cap" j in
+  let* _ = R.int ~lo:0 "" "ticks" j in
+  let* entries = R.arr "" "series" j in
+  let point at last_tick p =
+    let* tick = R.int ~lo:0 at "tick" p in
+    let* _ = R.int at "day" p in
+    let* _ = R.num at "value" p in
+    if tick < last_tick then R.fail at "decreasing \"tick\"" else Ok tick
+  in
+  R.fold
+    ~label:(R.named "series %d")
+    (fun at total e ->
+      let* _ = R.str at "name" e in
+      let* ps = R.arr at "points" e in
+      let n = List.length ps in
+      if n > cap then R.fail at "%d points exceed cap %d" n cap
+      else
+        let* _ =
+          R.fold ~label:(fun i _ -> Printf.sprintf "%s point %d" at i) point 0 ps
+        in
+        Ok (total + n))
+    0 entries
 
-let validate_series_file path =
-  match read_parse path with Error e -> Error e | Ok j -> validate_series j
+let validate_series_file path = Result.bind (R.of_file path) validate_series
 
 (* --- OpenMetrics text exposition -------------------------------------- *)
 

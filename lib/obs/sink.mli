@@ -42,7 +42,9 @@ val validate_chrome : Json.t -> (int, string) result
     event count. *)
 
 val validate_chrome_file : string -> (int, string) result
-(** Read and parse [path], then {!validate_chrome}. *)
+(** {!Json.Read.of_file}, then {!validate_chrome}: a missing or
+    unreadable path is an [Error] naming it, like every [*_file]
+    reader here. *)
 
 val bench_schema : string
 (** The current [waveidx bench --json] schema tag,
@@ -59,20 +61,21 @@ val validate_bench : Json.t -> (int, string) result
 (** Check a [BENCH_wave.json] snapshot against {!bench_schema}: the
     exact schema tag, ["unit"] = "model-seconds", a non-empty
     ["benchmarks"] array whose records carry a string ["name"],
-    non-negative ["p50"]/["p95"], ["runs"] >= 1, an optional ["cache"]
-    object (["hit_ratio"] in [0, 1]; non-negative ["hits"],
-    ["misses"], ["frames"]) and an optional ["writeback"] object
-    (non-negative ["writes_coalesced"], ["flushes"],
+    non-negative ["p50"]/["p95"], an integer ["runs"] >= 1, an optional
+    ["cache"] object (["hit_ratio"] in [0, 1]; non-negative integer
+    ["hits"], ["misses"], ["frames"]) and an optional ["writeback"]
+    object (non-negative integer ["writes_coalesced"], ["flushes"],
     ["flushed_blocks"]), plus a required ["profile"] summary block
-    (string ["scheme"]/["technique"], ["days"] >= 1, non-negative
-    ["total_model_s"], and a non-empty ["top"] array of hot nodes each
-    with a string ["path"], ["calls"] >= 1, non-negative
-    ["self_model_s"]/["total_model_s"]/["seeks"]).  Every error names
+    (string ["scheme"]/["technique"], integer ["days"] >= 1,
+    non-negative ["total_model_s"], and a non-empty ["top"] array of hot
+    nodes each with a string ["path"], integer ["calls"] >= 1,
+    non-negative ["self_model_s"]/["total_model_s"] and integer
+    ["seeks"]) and a required ["series"] summary block.  Every error names
     the offending series ([benchmark i ("name")]) and field.  Returns
     the benchmark count. *)
 
 val validate_bench_file : string -> (int, string) result
-(** Read and parse [path], then {!validate_bench}. *)
+(** {!Json.Read.of_file}, then {!validate_bench}. *)
 
 val series_schema : string
 (** ["waveidx-series/1"] — the {!Series.to_json} schema tag. *)
@@ -95,9 +98,6 @@ type bench_series = {
 val bench_series : Json.t -> (bench_series list, string) result
 (** Extract name/p50/p95 from a snapshot's ["benchmarks"] array,
     without checking the schema tag.  Errors name the series. *)
-
-val bench_series_file : string -> (bench_series list, string) result
-(** Read and parse [path], then {!bench_series}. *)
 
 type bench_delta = {
   delta_name : string;
@@ -154,13 +154,12 @@ val profile_schema : string
 (** ["waveidx-profile/1"] — the {!Profile.to_json} schema tag. *)
 
 val validate_profile : Json.t -> (int, string) result
-(** Check a profile document: schema tag, ["unit"] = "model-seconds",
-    non-negative ["total_model_s"], and a ["roots"] tree whose every
-    node carries a string ["name"], ["calls"] >= 1, the non-negative
-    cost fields, and a ["children"] array.  Errors carry the node's
-    path.  Returns the node count. *)
+(** {!Profile.of_json}, counting the nodes: the one profile reader
+    serves both the self-check of [profile --json] and the [--diff]
+    baseline loader. *)
 
 val validate_profile_file : string -> (int, string) result
+(** {!Json.Read.of_file}, then {!validate_profile}. *)
 
 val write_folded : path:string -> Profile.t -> unit
 (** Write {!Profile.folded} stacks to [path]. *)
@@ -196,13 +195,14 @@ val flight_schema : string
 val validate_flight : string -> (int, string) result
 (** Validate a flight-recorder dump (raw JSONL text, not parsed JSON):
     a header line with the schema tag, a string ["reason"] and
-    non-negative ["events"]/["dropped"] counts, followed by exactly
-    [events] event lines, each a well-typed object
-    (span/metric/alert/io payload fields present) with strictly
-    increasing ["seq"].  Returns the event count. *)
+    non-negative integer ["events"]/["dropped"] counts, followed by
+    exactly [events] event lines, each a well-typed object
+    (span/metric/alert/io/epoch payload fields present, counts
+    integral) with strictly increasing integer ["seq"].  Returns the
+    event count. *)
 
 val validate_flight_file : string -> (int, string) result
-(** Read [path], then {!validate_flight}. *)
+(** {!Json.Read.text}, then {!validate_flight}. *)
 
 (** {1 Profile-node gate}
 
@@ -224,8 +224,6 @@ type profile_top_node = {
 val bench_profile_top : Json.t -> (profile_top_node list, string) result
 (** Extract the hot-node list from a bench snapshot's ["profile"]
     block.  Errors name the offending node. *)
-
-val bench_profile_top_file : string -> (profile_top_node list, string) result
 
 type profile_gate = {
   pg_compared : int;  (** baseline nodes resolved in the current tree *)
@@ -258,7 +256,7 @@ val profile_gate_report : profile_gate -> string
 
 val validate_series : Json.t -> (int, string) result
 (** Check a [sim --series-out] dump against {!series_schema}: the
-    exact schema tag, ["cap"] >= 1, ["ticks"] >= 0, and a ["series"]
+    exact schema tag, integer ["cap"] >= 1 and ["ticks"] >= 0, and a ["series"]
     array whose entries carry a string ["name"] and a ["points"] array
     of at most [cap] points, each with a non-negative integer ["tick"]
     (non-decreasing within a series), an integer ["day"], and a finite
@@ -266,7 +264,7 @@ val validate_series : Json.t -> (int, string) result
     the total point count. *)
 
 val validate_series_file : string -> (int, string) result
-(** Read and parse [path], then {!validate_series}. *)
+(** {!Json.Read.of_file}, then {!validate_series}. *)
 
 (** {1 OpenMetrics exposition}
 

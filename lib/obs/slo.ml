@@ -161,105 +161,18 @@ let to_json t =
 
 let ( let* ) = Result.bind
 
-let spec_of_json i j =
-  let label fields =
-    match List.assoc_opt "name" fields with
-    | Some (Json.Str n) -> Printf.sprintf "slo %S" n
-    | _ -> Printf.sprintf "slo %d" i
-  in
-  match j with
-  | Json.Obj fields ->
-    let where = label fields in
-    let str field =
-      match List.assoc_opt field fields with
-      | Some (Json.Str s) when String.length s > 0 -> Ok s
-      | Some _ ->
-        Error (Printf.sprintf "%s: %S must be a non-empty string" where field)
-      | None -> Error (Printf.sprintf "%s: missing %S" where field)
-    in
-    let finite field =
-      match List.assoc_opt field fields with
-      | Some (Json.Num v) when Float.is_finite v -> Ok (Some v)
-      | Some _ ->
-        Error (Printf.sprintf "%s: %S must be a finite number" where field)
-      | None -> Ok None
-    in
-    let int_field field =
-      match List.assoc_opt field fields with
-      | Some (Json.Num v) when Float.is_integer v && v >= 1.0 ->
-        Ok (Some (int_of_float v))
-      | Some _ ->
-        Error (Printf.sprintf "%s: %S must be an integer >= 1" where field)
-      | None -> Ok None
-    in
-    let* name = str "name" in
-    let* objective = str "metric" in
-    let* op_s = str "op" in
-    let* comparator =
-      match op_s with
-      | ">" | "gt" -> Ok Alert.Gt
-      | ">=" | "ge" -> Ok Alert.Ge
-      | "<" | "lt" -> Ok Alert.Lt
-      | "<=" | "le" -> Ok Alert.Le
-      | s ->
-        Error
-          (Printf.sprintf "%s: unknown op %S (expected >, >=, <, <=)" where s)
-    in
-    let* threshold =
-      match List.assoc_opt "threshold" fields with
-      | Some (Json.Num v) when Float.is_finite v -> Ok v
-      | Some _ ->
-        Error (Printf.sprintf "%s: \"threshold\" must be a finite number" where)
-      | None -> Error (Printf.sprintf "%s: missing \"threshold\"" where)
-    in
-    let* window_days =
-      match List.assoc_opt "window_days" fields with
-      | Some (Json.Num v) when Float.is_integer v && v >= 1.0 ->
-        Ok (int_of_float v)
-      | Some _ ->
-        Error
-          (Printf.sprintf "%s: \"window_days\" must be an integer >= 1" where)
-      | None -> Error (Printf.sprintf "%s: missing \"window_days\"" where)
-    in
-    let* goal = finite "goal" in
-    let* burn_threshold = finite "burn_threshold" in
-    let* fast_days = int_field "fast_days" in
-    let* slow_days = int_field "slow_days" in
-    (match
-       spec ?goal ?fast_days ?slow_days ?burn_threshold ~name
-         ~objective ~window_days comparator threshold
-     with
-    | s -> Ok s
-    | exception Invalid_argument msg ->
-      Error (Printf.sprintf "%s: %s" where msg))
-  | _ -> Error (Printf.sprintf "slo %d: expected an object" i)
+module R = Json.Read
 
-let specs_of_json j =
-  let arr =
-    match j with
-    | Json.Obj fields -> (
-      match List.assoc_opt "slos" fields with
-      | Some (Json.Arr items) -> Ok items
-      | Some _ -> Error "\"slos\" must be an array"
-      | None -> Error "expected {\"slos\": [...]} or a top-level array")
-    | Json.Arr items -> Ok items
-    | _ -> Error "expected {\"slos\": [...]} or a top-level array"
-  in
-  let* items = arr in
-  if items = [] then Error "no slos given"
-  else
-    let rec go i acc = function
-      | [] -> Ok (List.rev acc)
-      | item :: rest ->
-        let* s = spec_of_json i item in
-        go (i + 1) (s :: acc) rest
-    in
-    go 0 [] items
+let spec_of_json at j =
+  let* name, objective, comparator, threshold = Alert.head_of_json at j in
+  let* window_days = R.int ~lo:1 at "window_days" j in
+  let* goal = R.opt R.num at "goal" j in
+  let* burn_threshold = R.opt R.num at "burn_threshold" j in
+  let* fast_days = R.opt (R.int ~lo:1) at "fast_days" j in
+  let* slow_days = R.opt (R.int ~lo:1) at "slow_days" j in
+  Alert.checked at (fun () ->
+      spec ?goal ?fast_days ?slow_days ?burn_threshold ~name ~objective
+        ~window_days comparator threshold)
 
-let specs_of_file path =
-  match In_channel.with_open_bin path In_channel.input_all with
-  | exception Sys_error msg -> Error msg
-  | text -> (
-    match Json.parse text with
-    | Error e -> Error (Printf.sprintf "%s: %s" path e)
-    | Ok j -> specs_of_json j)
+let specs_of_json = Alert.list_of_json ~key:"slos" ~kind:"slo" spec_of_json
+let specs_of_file path = Result.bind (R.of_file path) specs_of_json

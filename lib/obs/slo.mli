@@ -102,4 +102,4 @@ val specs_of_json : Json.t -> (spec list, string) result
     when present, index otherwise) and field. *)
 
 val specs_of_file : string -> (spec list, string) result
-(** Read and parse [path], then {!specs_of_json}. *)
+(** {!Json.Read.of_file}, then {!specs_of_json}. *)

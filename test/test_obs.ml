@@ -1139,6 +1139,9 @@ let test_flight_validator_rejects () =
     ^ "\n"
     ^ {|{"type": "metric", "seq": 0, "model_s": 0, "wall_s": 0, "name": "m", "value": 1}|}
     );
+  reject "fractional header counts"
+    ({|{"schema": "waveidx-flight/1", "reason": "x", "events": 1.7, "dropped": 0.5}|}
+    ^ "\n" ^ metric 0);
   (* The well-formed equivalent passes. *)
   match Sink.validate_flight (header 2 ^ "\n" ^ metric 0 ^ "\n" ^ metric 7) with
   | Ok n -> Alcotest.(check int) "sparse seq ok, count 2" 2 n
@@ -1171,6 +1174,30 @@ let test_alert_fire_records_and_dumps () =
   match Sink.validate_flight_file dump with
   | Ok n -> Alcotest.(check bool) "dump holds the lead-up" true (n >= 2)
   | Error e -> Alcotest.failf "alert dump invalid: %s" e
+
+(* A missing path and a directory are both errors naming the path,
+   from every file reader — never an exception. *)
+let test_sink_unreadable_file_is_error () =
+  let missing = Filename.concat (Filename.get_temp_dir_name ()) "waveidx-no-such-file.json" in
+  List.iter
+    (fun path ->
+      let names_path label r =
+        match r with
+        | Ok _ -> Alcotest.failf "%s: accepted %s" label path
+        | Error e ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s error %S names the path" label e)
+            true (contains ~sub:path e)
+      in
+      let count r = Result.map ignore r in
+      names_path "validate_bench_file" (count (Sink.validate_bench_file path));
+      names_path "validate_chrome_file" (count (Sink.validate_chrome_file path));
+      names_path "validate_profile_file" (count (Sink.validate_profile_file path));
+      names_path "validate_series_file" (count (Sink.validate_series_file path));
+      names_path "validate_flight_file" (count (Sink.validate_flight_file path));
+      names_path "rules_of_file" (count (Alert.rules_of_file path));
+      names_path "specs_of_file" (count (Slo.specs_of_file path)))
+    [ missing; Filename.get_temp_dir_name () ]
 
 let test_sink_flush_traces () =
   with_clean_tracer @@ fun () ->
@@ -1275,6 +1302,8 @@ let suites =
           test_sink_validate_bench_accepts_valid;
         Alcotest.test_case "validate_bench bad corpus" `Quick
           test_sink_validate_bench_bad_corpus;
+        Alcotest.test_case "unreadable file is an error" `Quick
+          test_sink_unreadable_file_is_error;
         Alcotest.test_case "flush traces" `Quick test_sink_flush_traces;
       ] );
     ( "obs.runner",

@@ -738,6 +738,68 @@ let test_diff_of_json_roundtrip () =
         exact "dtotal zero" 0.0 e.Profile.d_total)
       d.Profile.entries
 
+(* A --diff baseline is read as strictly as the profile self-check: a
+   node with a missing or negative cost field is an error naming the
+   node and the field, never a node diffed against zero. *)
+let test_of_json_strict_costs () =
+  let doc = Profile.to_json (Profile.of_spans sample_spans) in
+  (* Rewrite the fields of the node at [path] (names from the roots). *)
+  let rec edit path f j =
+    match (path, j) with
+    | name :: rest, Json.Obj kvs
+      when List.assoc_opt "name" kvs = Some (Json.Str name) ->
+      if rest = [] then Json.Obj (f kvs)
+      else
+        Json.Obj
+          (List.map
+             (function
+               | "children", Json.Arr kids ->
+                 ("children", Json.Arr (List.map (edit rest f) kids))
+               | kv -> kv)
+             kvs)
+    | _ -> j
+  in
+  let at_node path f =
+    match doc with
+    | Json.Obj kvs ->
+      Json.Obj
+        (List.map
+           (function
+             | "roots", Json.Arr roots ->
+               ("roots", Json.Arr (List.map (fun r -> edit path f r) roots))
+             | kv -> kv)
+           kvs)
+    | _ -> assert false
+  in
+  let expect_error label j needles =
+    match Profile.of_json j with
+    | Ok _ -> Alcotest.failf "%s: accepted" label
+    | Error e ->
+      List.iter
+        (fun n ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: error %S names %S" label e n)
+            true (contains e n))
+        needles
+  in
+  expect_error "missing self_model_s"
+    (at_node [ "root"; "a" ] (List.remove_assoc "self_model_s"))
+    [ "/root/a"; "self_model_s" ];
+  expect_error "negative total_model_s"
+    (at_node [ "root"; "b" ]
+       (List.map (function
+         | "total_model_s", _ -> ("total_model_s", Json.Num (-1.0))
+         | kv -> kv)))
+    [ "/root/b"; "total_model_s" ];
+  expect_error "fractional calls"
+    (at_node [ "root" ]
+       (List.map (function "calls", _ -> ("calls", Json.Num 1.5) | kv -> kv)))
+    [ "/root"; "calls" ];
+  match Profile.of_json (at_node [ "root"; "a" ] Fun.id) with
+  | Ok p ->
+    Alcotest.(check int) "untouched edit still loads" 3 (List.length (Profile.nodes p))
+  | Error e -> Alcotest.failf "identity edit rejected: %s" e
+
 let test_diff_report_and_json () =
   let d =
     Profile.diff
@@ -1094,6 +1156,7 @@ let suites =
         Alcotest.test_case "added/removed/reordered" `Quick
           test_diff_added_removed_reordered;
         Alcotest.test_case "of_json roundtrip" `Quick test_diff_of_json_roundtrip;
+        Alcotest.test_case "of_json strict costs" `Quick test_of_json_strict_costs;
         Alcotest.test_case "report and json" `Quick test_diff_report_and_json;
       ] );
     ( "profile.node_gate",

@@ -187,7 +187,15 @@ let test_series_validator_rejects () =
   expect_err "points exceed cap"
     (doc ~cap:1 [ point 1 1 1.0; point 2 1 2.0 ]);
   expect_err "missing series array"
-    (Obj [ ("schema", Str Sink.series_schema); ("cap", int 8); ("ticks", int 0) ])
+    (Obj [ ("schema", Str Sink.series_schema); ("cap", int 8); ("ticks", int 0) ]);
+  expect_err "fractional cap and ticks"
+    (Obj
+       [
+         ("schema", Str Sink.series_schema);
+         ("cap", Num 1.9);
+         ("ticks", Num 0.5);
+         ("series", Arr [ Obj [ ("name", Str "m"); ("points", Arr [ point 1 1 1.0 ]) ] ]);
+       ])
 
 (* --- SLO burn rates and episodes ------------------------------------ *)
 
